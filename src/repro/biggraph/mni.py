@@ -16,10 +16,10 @@ This module computes MNI *through* the r-neighborhood decomposition
 
 1. **Locate** — run the transactional support counter
    (:func:`repro.graph.isomorphism.count_support` with ``need_tids``)
-   over the neighborhood database.  This goes through the acceleration
-   seam, so match plans, flat-array kernels and the batched scan kernel
-   all apply, and ``--no-accel`` / ``--no-flat`` / ``--no-batch`` fall
-   back exactly as they do for transactional mining.  The result is the
+   over the neighborhood database.  This goes through the counting
+   seam, so the flat batch kernel applies, and ``--no-accel`` falls
+   back to the reference matcher exactly as it does for transactional
+   mining.  The result is the
    set of pivots whose neighborhoods contain the pattern at all.
 2. **Fold** — enumerate the embeddings inside each supporting
    neighborhood with the reference enumerator and translate unit-local
@@ -130,9 +130,7 @@ class MNISupport:
         self.graph = graph
         self.database = database
         self.radius = radius
-        self._flat = (
-            perf.get_flat_db(database) if perf.flat_enabled() else None
-        )
+        self._flat = perf.get_flat_db(database) if perf.enabled() else None
         self._arena = perf.ScanArena() if self._flat is not None else None
 
     # ------------------------------------------------------------------

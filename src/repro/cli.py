@@ -801,22 +801,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--no-accel", action="store_true",
-        help="disable the support-counting acceleration layer "
-             "(match plans, fingerprints, support cache, flat-array "
-             "kernels, join-bound pruning, shared-memory payloads); "
+        help="run the reference matcher: disable the support-counting "
+             "acceleration layer (flat-array batch kernel, support "
+             "cache, join-bound pruning, shared-memory payloads); "
              "equivalent to setting REPRO_NO_ACCEL=1",
-    )
-    parser.add_argument(
-        "--no-flat", action="store_true",
-        help="keep the acceleration layer but disable the flat-array "
-             "matching kernels (plans-only mode); equivalent to "
-             "setting REPRO_NO_FLAT=1",
-    )
-    parser.add_argument(
-        "--no-batch", action="store_true",
-        help="keep the flat-array kernels but disable the batched "
-             "candidate-scan kernel (per-graph dispatch); equivalent "
-             "to setting REPRO_NO_BATCH=1",
     )
     parser.add_argument(
         "--no-obs", action="store_true",
@@ -1058,7 +1046,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "index + query engine instead of a linear scan")
     p.add_argument("--no-query-accel", action="store_true",
                    help="linear path only: also skip the edge-triple/"
-                        "fingerprint candidate filters")
+                        "admit candidate filters")
     p.add_argument("--induced", action="store_true",
                    help="use induced-subgraph semantics")
     p.add_argument("--min-support", type=_support, default=None)
@@ -1118,14 +1106,6 @@ def main(argv: list[str] | None = None) -> int:
         from . import perf
 
         perf.set_enabled(False)
-    if args.no_flat:
-        from . import perf
-
-        perf.set_flat_enabled(False)
-    if args.no_batch:
-        from . import perf
-
-        perf.set_batch_enabled(False)
     if args.no_obs:
         from . import obs
 

@@ -51,7 +51,7 @@ def global_support(
     from .. import perf
     from ..graph.isomorphism import count_support
 
-    flat = perf.get_flat_db(database) if perf.flat_enabled() else None
+    flat = perf.get_flat_db(database) if perf.enabled() else None
     arena = perf.ScanArena() if flat is not None else None
     frequent = PatternSet()
     rejected = 0

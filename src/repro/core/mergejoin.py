@@ -44,10 +44,10 @@ class MergeJoinStats:
 
     ``isomorphism_tests`` counts graphs submitted to an existence check
     (the historical metric); ``vf2_tests`` counts backtracking searches
-    actually entered — the difference is work the fingerprint prefilters
-    absorbed inside the matcher.  ``fingerprint_rejects`` counts
-    candidate graphs dropped before submission, and the cache counters
-    describe the shared support cache when one was passed in.
+    actually entered.  ``fingerprint_rejects`` counts candidate graphs
+    the admit prefilter (:func:`repro.perf.flat_admits`) dropped, and
+    the cache counters describe the shared support cache when one was
+    passed in.
     """
 
     carried_patterns: int = 0

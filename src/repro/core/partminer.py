@@ -228,7 +228,6 @@ class PartMiner:
                 "counters": perf.delta_since(counters_before).to_dict(),
                 "accel": {
                     "enabled": perf.enabled(),
-                    "flat": perf.flat_enabled(),
                     "join_levels_skipped": sum(
                         s.join_levels_skipped
                         for s in result.merge_stats.values()

@@ -11,55 +11,27 @@ the same label.  The target may have extra edges between mapped vertices
 (non-induced / monomorphism semantics, which is what frequent subgraph mining
 uses).
 
-Existence checks (:func:`subgraph_exists`, and :func:`count_support` built
-on it) are served by the acceleration layer (:mod:`repro.perf`) by default:
-a compiled per-pattern match plan, per-graph invariant fingerprints and an
-iterative matcher replace the from-scratch recursive search.  The original
-path survives as :func:`subgraph_exists_reference` — the differential
-baseline, and what every call falls back to when the layer is disabled.
-:func:`find_embeddings` (full enumeration) is unchanged.
+Existence checks are served by the acceleration layer (:mod:`repro.perf`)
+by default.  :func:`count_support` is the one support-counting seam: it
+runs the flat CSR batch kernel over a whole candidate list, with an
+optional :class:`~repro.perf.SupportCache` in front.
+:func:`subgraph_exists` runs the same kernel on one pair.  The original
+recursive matcher survives as :func:`subgraph_exists_reference` — the
+test oracle, and what every call falls back to when the layer is
+disabled.  :func:`find_embeddings` (full enumeration) is unchanged.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from contextlib import nullcontext
+from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 from .. import perf
 from ..perf.counters import COUNTERS
 from .canonical import canonical_code
 from .database import GraphDatabase
 from .labeled_graph import LabeledGraph
-
-
-def _match_order(pattern: LabeledGraph) -> list[int]:
-    """Order pattern vertices so each (after the first) touches a prior one.
-
-    Starts from the highest-degree vertex and grows a connected frontier,
-    preferring vertices with many already-ordered neighbors (most
-    constrained first).  Isolated vertices, if any, come last.
-    """
-    n = pattern.num_vertices
-    if n == 0:
-        return []
-    placed: list[int] = []
-    in_order = [False] * n
-    start = max(range(n), key=pattern.degree)
-    placed.append(start)
-    in_order[start] = True
-    while len(placed) < n:
-        best = None
-        best_key = None
-        for v in range(n):
-            if in_order[v]:
-                continue
-            backlinks = sum(1 for w in pattern.neighbor_ids(v) if in_order[w])
-            key = (backlinks, pattern.degree(v))
-            if best is None or key > best_key:
-                best, best_key = v, key
-        assert best is not None
-        placed.append(best)
-        in_order[best] = True
-    return placed
 
 
 def _quick_reject(pattern: LabeledGraph, target: LabeledGraph) -> bool:
@@ -97,7 +69,7 @@ def find_embeddings(
     """
     if _quick_reject(pattern, target):
         return
-    order = _match_order(pattern)
+    order = perf.match_order(pattern)
     n = len(order)
     if n == 0:
         yield {}
@@ -197,11 +169,25 @@ def subgraph_exists(
 
     ``induced=True`` switches to induced-subgraph semantics.
 
-    Uses the accelerated matcher (:mod:`repro.perf`) unless the layer is
-    globally disabled; both paths return identical verdicts.
+    Runs the flat kernel against a weakly cached flat form of the target
+    (compiled by label lookup, so a request graph never grows the
+    interner) unless the layer is globally disabled.  A pattern with a
+    label no flat graph has ever carried has an *unmatchable* plan; it
+    goes to the reference matcher, which also decides targets built from
+    such labels.  Both paths return identical verdicts.
     """
     if perf.enabled():
-        return perf.accel_subgraph_exists(pattern, target, induced=induced)
+        plan = perf.get_flat_plan(pattern)
+        if not plan.unmatchable:
+            fg = perf.get_flat_graph(target)
+            reason = perf.flat_admits(plan, fg)
+            if reason == perf.REJECT_QUICK:
+                COUNTERS.inc("quick_rejects")
+            elif reason:
+                COUNTERS.inc("fingerprint_rejects")
+            else:
+                return perf.flat_exists(plan, fg, induced=induced)
+            return False
     return subgraph_exists_reference(pattern, target, induced=induced)
 
 
@@ -234,10 +220,21 @@ def are_isomorphic(g1: LabeledGraph, g2: LabeledGraph) -> bool:
     return subgraph_exists(g1, g2)
 
 
+@dataclass
+class SupportTally:
+    """Work accumulated over :func:`count_support` calls (its ``tally``)."""
+
+    isomorphism_tests: int = 0  # graphs given a search or reference test
+    vf2_tests: int = 0  # backtracking searches entered
+    fingerprint_rejects: int = 0  # admit-prefilter rejections
+    cache_hits: int = 0
+    cache_misses: int = 0
+
+
 def count_support(
     pattern: LabeledGraph,
     database: GraphDatabase,
-    candidate_gids: set[int] | None = None,
+    candidate_gids: Iterable[int] | None = None,
     induced: bool = False,
     cache: "perf.SupportCache | None" = None,
     key: tuple | None = None,
@@ -245,6 +242,9 @@ def count_support(
     need_tids: bool = True,
     flat: "perf.FlatDB | None" = None,
     arena: "perf.ScanArena | None" = None,
+    known_tids: Iterable[int] = (),
+    tally=None,
+    cache_lock=None,
 ) -> tuple[int, set[int]]:
     """Count the database graphs containing ``pattern``.
 
@@ -253,165 +253,117 @@ def count_support(
     set, not the database; candidates are scanned in ascending gid order
     (deterministic replay, shared-memory page locality); pass ``None`` to
     scan the whole database; ``induced`` switches to induced-subgraph
-    semantics.  Returns ``(support, supporting_gids)``.
+    semantics.  ``known_tids`` are gids already known to contain the
+    pattern (e.g. child-level TID lists): they count as supporting and
+    are not re-tested.  Returns ``(support, supporting_gids)``.
 
     ``cache`` memoizes per-graph containment verdicts across calls
     (:class:`repro.perf.SupportCache`); ``key`` is the pattern's canonical
-    key if already known — when omitted it is derived (and memoized on the
-    pattern) the first time the cache is consulted.
+    key if already known — when omitted it is derived the first time the
+    cache is consulted.  Cache misses go to the kernel; every verdict it
+    *decided* is written back, and so are the ``known_tids``.
+    ``cache_lock`` (a lock or any context manager) is held around the
+    cache probes and write-backs, for caches shared between threads.
 
-    ``minsup`` opts into support-threshold early termination on the
-    batched kernel path (cache-less only): the scan aborts once the
-    remaining candidates cannot reach ``minsup``, and — with
-    ``need_tids=False`` — once ``minsup`` supporting graphs are in hand.
-    After an abort the returned pair is a partial lower bound whose
-    frequency verdict (``support >= minsup``) is nevertheless exact;
-    callers that consume TID lists of frequent patterns keep the default
-    ``need_tids=True``, under which frequent results are always complete.
-    The reference and per-graph paths ignore both knobs (always exact).
+    ``minsup`` opts into support-threshold early termination: the scan
+    aborts once the remaining candidates cannot reach ``minsup``, and —
+    with ``need_tids=False`` — once ``minsup`` supporting graphs are in
+    hand.  After an abort the returned pair is a partial lower bound
+    whose frequency verdict (``support >= minsup``) is nevertheless
+    exact; callers that consume TID lists of frequent patterns keep the
+    default ``need_tids=True``, under which frequent results are always
+    complete.  The reference path ignores both knobs (always exact).
 
     ``flat`` is a pre-validated flat compilation of ``database``
     (:func:`repro.perf.get_flat_db`): callers issuing many counts against
     one stable database — a recount pass, a counter's lifetime — fetch it
     once and pass it down, skipping the per-call freshness revalidation
-    (the caller then owns the database-unchanged contract, exactly as
-    :class:`~repro.core.join.SupportCounter` does).  ``arena`` is a
-    :class:`repro.perf.ScanArena` to reuse across batched scans; both are
-    ignored when the flat layer is off.
+    (the caller then owns the database-unchanged contract).  ``arena`` is
+    a :class:`repro.perf.ScanArena` to reuse across scans.  Both are
+    ignored with the layer off.
+
+    ``tally``, when given, accumulates the call's work: a
+    :class:`SupportTally`, or any object with the same five int
+    attributes (:class:`~repro.core.join.SupportCounter` passes itself).
     """
-    use_cache = cache is not None and perf.enabled()
-    if use_cache and key is None:
+    supporting = set(known_tids)
+    if candidate_gids is None and (supporting or cache is not None):
+        candidate_gids = database.gids()
+    if candidate_gids is not None:
+        candidate_gids = sorted(
+            g for g in candidate_gids if g not in supporting and g in database
+        )
+
+    if not perf.enabled():
+        rejected = searched = 0
+        order = database.gids() if candidate_gids is None else candidate_gids
+        for gid in order:
+            graph = database[gid]
+            if _quick_reject(pattern, graph):
+                rejected += 1
+                continue
+            if pattern.num_vertices:
+                searched += 1
+            for _ in find_embeddings(pattern, graph, limit=1, induced=induced):
+                supporting.add(gid)
+        if rejected:
+            COUNTERS.inc("quick_rejects", rejected)
+        if searched:
+            COUNTERS.inc("vf2_calls", searched)
+        if tally is not None:
+            tally.isomorphism_tests += len(order)
+            tally.vf2_tests += searched
+        return len(supporting), supporting
+
+    if cache is not None and key is None:
         try:
             key = canonical_code(pattern)
         except ValueError:  # empty or disconnected pattern: no canonical key
-            use_cache = False
-    # Flat kernels: compile the database once (instance-cached), then run
-    # every existence check as an integer-space admit + flat-array
-    # search.  Counters are tallied locally and flushed once — no lock
-    # acquisitions inside the scan loop.
-    flat_plan = None
-    if perf.flat_enabled() and pattern.num_vertices > 0:
-        if flat is None:
-            flat = perf.get_flat_db(database)
-        flat_plan = perf.get_flat_plan(pattern)
-    else:
-        flat = None
-    supporting: set[int] = set()
-
-    if flat_plan is not None and perf.batch_enabled():
-        # Batched scan: the fused admit + descent kernel walks the whole
-        # sorted candidate list inside one Python frame and flushes the
-        # work counters once (see repro.perf.batchscan).
-        if use_cache:
-            # Probe the cache outside the kernel, batch only the misses;
-            # the kernel then runs exact so every miss gets a verdict.
-            probe = (
-                sorted(database._graphs)
-                if candidate_gids is None
-                else sorted(g for g in candidate_gids if g in database)
-            )
-            unresolved = []
-            for gid in probe:
+            cache = None
+    unresolved = candidate_gids
+    if cache is not None:
+        lock = cache_lock if cache_lock is not None else nullcontext()
+        unresolved = []
+        with lock:
+            for gid in candidate_gids:
                 verdict = cache.get(key, database[gid], induced=induced)
                 if verdict is None:
                     unresolved.append(gid)
                 elif verdict:
                     supporting.add(gid)
-            scan = perf.flat_count_batch(
-                flat_plan, flat, unresolved, induced=induced, arena=arena
-            )
-            hits = set(scan.hits)
-            supporting |= hits
-            for gid in unresolved:
-                cache.put(key, database[gid], gid in hits, induced=induced)
-        else:
-            gid_list = (
-                None
-                if candidate_gids is None
-                else sorted(g for g in candidate_gids if g in database)
-            )
-            scan = perf.flat_count_batch(
-                flat_plan,
-                flat,
-                gid_list,
-                induced=induced,
-                minsup=minsup,
-                need_tids=need_tids,
-                arena=arena,
-            )
-            supporting = set(scan.hits)
-        return len(supporting), supporting
-
-    if candidate_gids is None:
-        items: Iterator[tuple[int, LabeledGraph]] = iter(database)
-    else:
-        items = (
-            (gid, database[gid])
-            for gid in sorted(candidate_gids)
-            if gid in database
+        if tally is not None:
+            tally.cache_misses += len(unresolved)
+            tally.cache_hits += len(candidate_gids) - len(unresolved)
+    scan = None
+    if unresolved is None or unresolved:
+        if flat is None:
+            flat = perf.get_flat_db(database)
+        scan = perf.flat_count_batch(
+            perf.get_flat_plan(pattern),
+            flat,
+            unresolved,
+            induced=induced,
+            minsup=max(0, minsup - len(supporting)) if minsup else 0,
+            need_tids=need_tids,
+            arena=arena,
         )
-    quick = finger = searched = 0
-
-    if flat_plan is not None and not use_cache:
-        # Per-graph flat loop (batch kernel disabled): no cache probes,
-        # no closure dispatch — just admit + search per graph, locals
-        # bound once.  Admit verdicts are memoized on the FlatDB (both
-        # sides are immutable), so repeated scans of one database skip
-        # the invariant loops; the reject counters still tick every scan.
-        admits = perf.flat_admits
-        fexists = perf.flat_exists
-        flats = flat.flats
-        reject_quick = perf.REJECT_QUICK
-        add = supporting.add
-        memo = flat.plan_memo(flat_plan)
-        memo_get = memo.get
-        for gid, _graph in items:
-            reason = memo_get(gid)
-            if reason is None:
-                reason = memo[gid] = admits(flat_plan, flats[gid])
-            if reason:
-                if reason == reject_quick:
-                    quick += 1
-                else:
-                    finger += 1
-                continue
-            searched += 1
-            if fexists(flat_plan, flats[gid], induced=induced, count=False):
-                add(gid)
-    else:
-
-        def exists(gid: int, graph: LabeledGraph) -> bool:
-            nonlocal quick, finger, searched
-            if flat_plan is not None:
-                fg = flat.get(gid)
-                reason = perf.flat_admits(flat_plan, fg)
-                if reason:
-                    if reason == perf.REJECT_QUICK:
-                        quick += 1
-                    else:
-                        finger += 1
-                    return False
-                searched += 1
-                return perf.flat_exists(
-                    flat_plan, fg, induced=induced, count=False
-                )
-            return subgraph_exists(pattern, graph, induced=induced)
-
-        for gid, graph in items:
-            if use_cache:
-                verdict = cache.get(key, graph, induced=induced)
-                if verdict is None:
-                    verdict = exists(gid, graph)
-                    cache.put(key, graph, verdict, induced=induced)
-            else:
-                verdict = exists(gid, graph)
-            if verdict:
-                supporting.add(gid)
-    if quick:
-        COUNTERS.inc("quick_rejects", quick)
-    if finger:
-        COUNTERS.inc("fingerprint_rejects", finger)
-    if searched:
-        COUNTERS.inc("vf2_calls", searched)
-        COUNTERS.inc("flat_searches", searched)
+        supporting.update(scan.hits)
+        if tally is not None:
+            tally.isomorphism_tests += scan.searched
+            tally.vf2_tests += scan.searched
+            tally.fingerprint_rejects += scan.rejected
+    if cache is not None:
+        # Write back decided verdicts only: an early exit's undecided
+        # gids are not misses, just unknowns.  Known TIDs are sound
+        # positives here too; memoizing them lets ancestor levels that
+        # share these graph instances skip the test entirely.
+        hits = set(scan.hits) if scan else ()
+        undecided = set(scan.undecided) if scan else ()
+        with lock:
+            for gid in unresolved:
+                if gid not in undecided:
+                    cache.put(key, database[gid], gid in hits, induced=induced)
+            for gid in known_tids:
+                if gid in database:
+                    cache.put(key, database[gid], True, induced=induced)
     return len(supporting), supporting

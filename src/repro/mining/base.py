@@ -145,7 +145,7 @@ class PatternSet:
         # flat database once and hand it (plus one scan arena) to every
         # count — the pass itself never mutates the database, so the
         # per-call revalidation would be pure overhead at this scale.
-        flat = perf.get_flat_db(database) if perf.flat_enabled() else None
+        flat = perf.get_flat_db(database) if perf.enabled() else None
         arena = perf.ScanArena() if flat is not None else None
         result = PatternSet()
         for pattern in self._by_key.values():

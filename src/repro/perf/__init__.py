@@ -1,19 +1,23 @@
-"""Support-counting acceleration layer (match plans, fingerprints, cache).
+"""Support-counting acceleration layer (flat kernels, support cache).
 
-Three cooperating mechanisms make ``CheckFrequency`` cheap:
+``CheckFrequency`` has one fast path and one reference path:
 
-* :mod:`repro.perf.matchplan` — per-pattern compiled matching state and an
-  iterative, allocation-light existence matcher;
-* :mod:`repro.perf.fingerprint` — per-graph containment-monotone
-  invariants that reject most non-supporting graphs without a search;
-* :mod:`repro.perf.cache` — a canonical-key -> per-graph containment memo
-  shared across partition-tree levels and update batches.
+* :mod:`repro.perf.flatgraph` compiles graphs and databases to CSR int
+  arrays (one process-global label interner);
+* :mod:`repro.perf.fastmatch` compiles patterns to :class:`FlatPlan`\\ s
+  and runs the integer-space admit prefilter and the single-pair
+  existence search;
+* :mod:`repro.perf.batchscan` fuses admit and search over a whole
+  candidate list in one frame — the kernel behind
+  :func:`repro.graph.isomorphism.count_support`, the one counting seam;
+* :mod:`repro.perf.cache` memoizes per-graph containment verdicts under
+  canonical keys across partition-tree levels and update batches.
 
 All fast paths are behaviour-preserving: the differential test-suite pins
 them against the reference matcher.  The layer can be switched off
 globally (``set_enabled(False)``, the CLI ``--no-accel`` flag, or the
 ``REPRO_NO_ACCEL`` environment variable), which routes every existence
-check through the original recursive matcher — the escape hatch and the
+check through the original recursive matcher — the test oracle and the
 baseline the benchmarks compare against.
 
 Work counters live in :mod:`repro.perf.counters` (re-exported for
@@ -41,7 +45,6 @@ from .counters import (
     reset_counters,
     snapshot,
 )
-from .fingerprint import GraphFingerprint, PatternProfile, get_fingerprint
 from .fastmatch import (
     ADMIT,
     REJECT_DEGREE,
@@ -50,6 +53,7 @@ from .fastmatch import (
     flat_admits,
     flat_exists,
     get_flat_plan,
+    match_order,
 )
 from .flatgraph import (
     INTERNER,
@@ -58,18 +62,12 @@ from .flatgraph import (
     FlatSegment,
     attach_segment,
     get_flat_db,
+    get_flat_graph,
     live_segments,
-)
-from .matchplan import (
-    MatchPlan,
-    accel_subgraph_exists,
-    get_match_plan,
-    plan_exists,
 )
 
 _ENABLED = not os.environ.get("REPRO_NO_ACCEL")
-_FLAT_ENABLED = not os.environ.get("REPRO_NO_FLAT")
-_BATCH_ENABLED = not os.environ.get("REPRO_NO_BATCH")
+
 
 def enabled() -> bool:
     """True when the acceleration layer is globally active."""
@@ -86,36 +84,6 @@ def set_enabled(flag: bool) -> bool:
     return previous
 
 
-def flat_enabled() -> bool:
-    """True when the flat-array kernels are active (implies enabled())."""
-    return _ENABLED and _FLAT_ENABLED
-
-
-def set_flat_enabled(flag: bool) -> bool:
-    """Switch the flat-array kernels on or off; returns the previous state."""
-    global _FLAT_ENABLED
-    previous = _FLAT_ENABLED
-    _FLAT_ENABLED = bool(flag)
-    if previous != _FLAT_ENABLED:
-        _bump_token()
-    return previous
-
-
-def batch_enabled() -> bool:
-    """True when the batched scan kernel is active (implies flat_enabled())."""
-    return _ENABLED and _FLAT_ENABLED and _BATCH_ENABLED
-
-
-def set_batch_enabled(flag: bool) -> bool:
-    """Switch the batched scan kernel on or off; returns the previous state."""
-    global _BATCH_ENABLED
-    previous = _BATCH_ENABLED
-    _BATCH_ENABLED = bool(flag)
-    if previous != _BATCH_ENABLED:
-        _bump_token()
-    return previous
-
-
 @contextmanager
 def disabled():
     """Run a block on the unaccelerated reference paths (for testing)."""
@@ -126,67 +94,36 @@ def disabled():
         set_enabled(previous)
 
 
-@contextmanager
-def flat_disabled():
-    """Run a block with match plans but no flat kernels (for testing)."""
-    previous = set_flat_enabled(False)
-    try:
-        yield
-    finally:
-        set_flat_enabled(previous)
-
-
-@contextmanager
-def batch_disabled():
-    """Run a block with flat kernels but per-graph dispatch (for testing)."""
-    previous = set_batch_enabled(False)
-    try:
-        yield
-    finally:
-        set_batch_enabled(previous)
-
-
 __all__ = [
+    "ADMIT",
     "BatchScan",
     "COUNTERS",
     "FlatDB",
     "FlatGraph",
-    "ADMIT",
     "FlatPlan",
-    "ScanArena",
     "FlatSegment",
-    "GraphFingerprint",
     "INTERNER",
-    "MatchPlan",
-    "PatternProfile",
     "PerfCounters",
+    "REJECT_DEGREE",
+    "REJECT_QUICK",
+    "ScanArena",
     "SupportCache",
-    "accel_subgraph_exists",
     "accel_token",
     "attach_segment",
-    "batch_disabled",
-    "batch_enabled",
     "delta_since",
     "disabled",
     "enabled",
-    "flat_count_batch",
-    "flat_disabled",
-    "flat_enabled",
-    "local_arena",
-    "REJECT_DEGREE",
-    "REJECT_QUICK",
     "flat_admits",
+    "flat_count_batch",
     "flat_exists",
-    "get_fingerprint",
     "get_flat_db",
+    "get_flat_graph",
     "get_flat_plan",
-    "get_match_plan",
     "global_counters",
     "live_segments",
-    "plan_exists",
+    "local_arena",
+    "match_order",
     "reset_counters",
-    "set_batch_enabled",
     "set_enabled",
-    "set_flat_enabled",
     "snapshot",
 ]

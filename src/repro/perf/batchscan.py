@@ -165,8 +165,7 @@ def flat_count_batch(
     ``gids`` is the candidate list — **sorted ascending** (callers sort;
     deterministic replay and shm page locality both want it), or ``None``
     to scan the whole database via the memoized full-scan admit list.
-    Gids absent from the database are skipped silently, exactly like the
-    per-graph loop they replace.
+    Gids absent from the database are skipped silently.
 
     ``minsup`` enables the early exits described in the module
     docstring (0 disables both); ``minsup`` must already be adjusted for
@@ -174,10 +173,9 @@ def flat_count_batch(
     TID lists).  Per-graph verdict semantics — including ``induced`` —
     are identical to :func:`~repro.perf.fastmatch.flat_exists`.
 
-    Counter accounting matches the fused loops this kernel replaces:
-    every admit rejection ticks ``quick_rejects``/``fingerprint_rejects``
-    and every search entered ticks ``vf2_calls`` + ``flat_searches``,
-    flushed in one batch at the end of the scan.
+    Counter accounting: every admit rejection ticks ``quick_rejects`` or
+    ``fingerprint_rejects`` and every search entered ticks ``vf2_calls``
+    + ``flat_searches``, flushed in one batch at the end of the scan.
     """
     n = plan.n
     if n == 0:

@@ -27,12 +27,12 @@ pattern's canonical key (two patterns with equal keys are isomorphic, so
 their containment verdicts are interchangeable).
 
 Entries additionally carry the process-wide **accel-state token**
-(:func:`repro.perf.accel_token`): toggling the acceleration layer or the
-flat kernels mid-process bumps it, invalidating every verdict computed
-under the previous configuration on first access.  Verdicts are
+(:func:`repro.perf.accel_token`): toggling the acceleration layer
+mid-process bumps it, invalidating every verdict computed under the
+previous configuration on first access.  Verdicts are
 configuration-independent *by contract*, but the token turns "the
 differential suite proves it" into "a flipped toggle can't even serve a
-stale one" — the accel-matrix tests flip these switches constantly.
+stale one" — the accel-matrix tests flip the switch constantly.
 """
 
 from __future__ import annotations

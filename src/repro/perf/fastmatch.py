@@ -1,9 +1,9 @@
 """Iterative existence matching over flat-array graphs.
 
 :func:`flat_exists` answers "does this pattern embed in this flat
-graph?" with the same semantics (and the same match order) as
-:func:`repro.perf.matchplan.plan_exists`, but its inner loop touches
-only flat integer arrays:
+graph?" with the semantics of the recursive reference matcher
+(:func:`repro.graph.isomorphism.subgraph_exists_reference`), but its
+inner loop touches only flat integer arrays:
 
 * candidate generation for an anchored position is a pair of bisects
   locating the anchor row's sub-run of the required edge-label id
@@ -16,18 +16,21 @@ only flat integer arrays:
 No dicts are read and no tuples are allocated inside the search — the
 per-depth state is four preallocated ``int`` lists.
 
-A :class:`FlatPlan` is the flat compilation of a pattern's
-:class:`~repro.perf.matchplan.MatchPlan`: label objects are replaced by
-interned ids from the process-global
-:class:`~repro.perf.flatgraph.LabelInterner`.  A pattern label the
-interner has never seen cannot occur in any flat graph compiled so far,
-so the plan is marked *unmatchable* — but the mark records the interner
-length and is revalidated when the table grows (a later database may
-intern that label, at which point the plan silently recompiles).
+A :class:`FlatPlan` compiles a pattern once per version: the match
+order (:func:`match_order`, shared with the reference matcher), the
+per-position label and degree requirements, and the anchor and
+non-adjacency constraints, with label objects replaced by ids from the
+process-global :class:`~repro.perf.flatgraph.LabelInterner`.  Plans
+look labels up and never intern them.  A pattern label the interner has
+never seen cannot occur in any flat graph compiled so far, so the plan
+is marked *unmatchable* — but the mark records the interner length and
+is revalidated when the table grows (a later database may intern that
+label, at which point the plan silently recompiles).
 
-``vf2_calls`` is incremented per search entered, exactly like both other
-matchers, so VF2-reduction accounting stays comparable across the
-acceleration modes; ``flat_searches`` counts this matcher specifically.
+``vf2_calls`` is incremented per search entered, exactly like the
+reference matcher, so VF2-reduction accounting stays comparable across
+``--no-accel`` and the default; ``flat_searches`` counts this matcher
+specifically.
 """
 
 from __future__ import annotations
@@ -38,15 +41,46 @@ from bisect import bisect_left, bisect_right
 from ..graph.labeled_graph import LabeledGraph
 from .counters import COUNTERS
 from .flatgraph import INTERNER, FlatGraph, LabelInterner
-from .matchplan import get_match_plan
+
+
+def match_order(pattern: LabeledGraph) -> list[int]:
+    """Order pattern vertices so each (after the first) touches a prior one.
+
+    Starts from the highest-degree vertex and grows a connected frontier,
+    preferring vertices with many already-ordered neighbors (most
+    constrained first).  Isolated vertices, if any, come last.
+    """
+    n = pattern.num_vertices
+    if n == 0:
+        return []
+    placed: list[int] = []
+    in_order = [False] * n
+    start = max(range(n), key=pattern.degree)
+    placed.append(start)
+    in_order[start] = True
+    while len(placed) < n:
+        best = None
+        best_key = None
+        for v in range(n):
+            if in_order[v]:
+                continue
+            backlinks = sum(1 for w in pattern.neighbor_ids(v) if in_order[w])
+            key = (backlinks, pattern.degree(v))
+            if best is None or key > best_key:
+                best, best_key = v, key
+        assert best is not None
+        placed.append(best)
+        in_order[best] = True
+    return placed
 
 
 class FlatPlan:
-    """Integer-only compilation of one pattern's match plan.
+    """Integer-only compiled matching state of one pattern.
 
-    Anchors and non-adjacency constraints are flattened into CSR-style
-    ``(ptr, data)`` pairs indexed by match position, so the matcher
-    never iterates tuples of tuples.
+    Positions ``0 .. n-1`` are the match order.  Anchors and
+    non-adjacency constraints are flattened into CSR-style
+    ``(ptr, data)`` pairs indexed by position, so the matcher never
+    iterates tuples of tuples.
     """
 
     __slots__ = (
@@ -72,41 +106,44 @@ class FlatPlan:
     def __init__(
         self, pattern: LabeledGraph, interner: LabelInterner = INTERNER
     ) -> None:
-        plan = get_match_plan(pattern)
+        order = match_order(pattern)
+        n = len(order)
+        position = {v: p for p, v in enumerate(order)}
         self.version = pattern.version
-        self.n = plan.n
-        self.num_vertices = plan.num_vertices
-        self.num_edges = plan.num_edges
+        self.n = n
+        self.num_vertices = pattern.num_vertices
+        self.num_edges = pattern.num_edges
         self.interner_len = len(interner)
         unmatchable = False
         lookup = interner.lookup
 
         vlabs = []
-        for label in plan.vlabels:
-            lid = lookup(label)
+        for v in order:
+            lid = lookup(pattern.vertex_label(v))
             if lid is None:
                 unmatchable = True
                 lid = -1
             vlabs.append(lid)
         self.vlabs = vlabs
-        self.mindeg = list(plan.degrees)
+        self.mindeg = [pattern.degree(v) for v in order]
 
         aptr, apos, aelab = [0], [], []
-        for prior in plan.anchors:
-            for position, elabel in prior:
+        nptr, npos = [0], []
+        for p, v in enumerate(order):
+            for w, elabel in pattern.neighbors(v):
+                if position[w] >= p:
+                    continue
                 lid = lookup(elabel)
                 if lid is None:
                     unmatchable = True
                     lid = -1
-                apos.append(position)
+                apos.append(position[w])
                 aelab.append(lid)
             aptr.append(len(apos))
-        self.aptr, self.apos, self.aelab = aptr, apos, aelab
-
-        nptr, npos = [0], []
-        for prior in plan.nonadjacent:
-            npos.extend(prior)
+            neighbor_ids = set(pattern.neighbor_ids(v))
+            npos.extend(q for q in range(p) if order[q] not in neighbor_ids)
             nptr.append(len(npos))
+        self.aptr, self.apos, self.aelab = aptr, apos, aelab
         self.nptr, self.npos = nptr, npos
         self.unmatchable = unmatchable
 
@@ -144,7 +181,7 @@ class FlatPlan:
                 aelab[aptr[d]] if aptr[d + 1] > aptr[d] else -1,
                 aptr[d + 1] > aptr[d] + 1,
             )
-            for d in range(self.n)
+            for d in range(n)
         )
 
 
@@ -182,15 +219,15 @@ REJECT_DEGREE = 2  # per-label degree sequences
 def flat_admits(plan: FlatPlan, fg: FlatGraph) -> int:
     """Integer-space admit prefilter: can ``plan`` possibly embed in ``fg``?
 
-    A flat re-statement of the first three layers of
-    :meth:`repro.perf.fingerprint.GraphFingerprint.reject_reason`
-    (counts, label histograms, per-label degree sequences) over the
-    precompiled int invariants — no label objects, no per-call dict
-    builds.  Returns :data:`ADMIT`, :data:`REJECT_QUICK` (counts /
-    histogram: what the classic quick-reject would catch) or
-    :data:`REJECT_DEGREE` (the fingerprint layer's extra power).  The
-    fourth fingerprint layer (1-round neighborhood domination) is not
-    replicated: the searches it would save are cheap on flat arrays.
+    Checks containment-monotone invariants over the precompiled ints —
+    vertex/edge counts, the edge-label histogram and, per vertex label,
+    pointwise domination of the descending degree sequence (every
+    pattern vertex needs a distinct same-label image of at least its
+    degree) — with no label objects and no per-call dict builds.  All
+    are sound for both monomorphism and induced semantics.  Returns
+    :data:`ADMIT`, :data:`REJECT_QUICK` (counts / histogram: what the
+    classic quick-reject would catch) or :data:`REJECT_DEGREE` (the
+    degree-sequence layer's extra power).
     """
     if (
         plan.unmatchable
@@ -220,16 +257,13 @@ def flat_exists(
 ) -> bool:
     """True if the planned pattern embeds in the flat graph ``fg``.
 
-    Semantics are identical to
-    :func:`repro.perf.matchplan.plan_exists` (monomorphism by default,
-    induced with ``induced=True``); the differential suite pins the two
-    against each other and against the recursive reference matcher.
+    Semantics are identical to the recursive reference matcher
+    (monomorphism by default, induced with ``induced=True``); the
+    differential suite pins the two against each other.
 
-    ``count=False`` skips the per-search counter increments — bulk
-    counting loops (:func:`repro.graph.isomorphism.count_support`) tally
-    locally and flush once, keeping the lock out of the hot loop; they
-    must add every search they ran to ``vf2_calls`` *and*
-    ``flat_searches`` afterwards.
+    ``count=False`` skips the per-search counter increments; a caller
+    that passes it must add every search it ran to ``vf2_calls`` *and*
+    ``flat_searches`` itself.
     """
     n = plan.n
     if n == 0:

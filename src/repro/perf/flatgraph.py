@@ -25,7 +25,9 @@ flat graph in the process, across merge levels and update batches.
 :class:`FlatDB` is the per-database bundle, weakly cached on the
 :class:`~repro.graph.database.GraphDatabase` instance and validated
 against each member graph's ``version`` counter — mutated or replaced
-graphs trigger recompilation, exactly like the fingerprint cache.
+graphs trigger recompilation.  :func:`get_flat_graph` is the one-graph
+counterpart for single-pair existence checks; it compiles by lookup and
+never grows the interner.
 
 Shared memory
 -------------
@@ -197,11 +199,13 @@ class FlatGraph:
         self.runs = runs
 
     @classmethod
-    def from_labeled(
-        cls, graph: LabeledGraph, interner: LabelInterner = INTERNER
-    ) -> "FlatGraph":
+    def from_labeled(cls, graph: LabeledGraph, label_id=None) -> "FlatGraph":
+        """Compile ``graph``; ``label_id`` maps a label to its id.
+
+        The default interns every label (database graphs).
+        """
         n = graph.num_vertices
-        intern = interner.intern
+        intern = label_id if label_id is not None else INTERNER.intern
         vlab = array("i", (intern(graph.vertex_label(v)) for v in range(n)))
         indptr = array("i", [0])
         nbr = array("i")
@@ -541,6 +545,52 @@ def get_flat_db(database: GraphDatabase) -> FlatDB:
     flat = FlatDB.compile(database)
     _FLAT_DBS[database] = flat
     return flat
+
+
+# ----------------------------------------------------------------------
+# Single-graph cache (one-pair existence checks)
+# ----------------------------------------------------------------------
+#: Id of every label the interner has never seen, in a graph compiled by
+#: :func:`get_flat_graph`.  Larger than any real id, so a plan — whose
+#: ids are all interned — never asks for it.
+UNKNOWN_LABEL = 2**31 - 1
+
+#: graph -> (graph version, interner stamp, FlatGraph); the stamp is the
+#: interner length when the graph had unknown labels at compile, else -1.
+_FLAT_GRAPHS: "weakref.WeakKeyDictionary[LabeledGraph, tuple]"
+_FLAT_GRAPHS = weakref.WeakKeyDictionary()
+
+
+def get_flat_graph(graph: LabeledGraph) -> FlatGraph:
+    """The (cached) flat form of one target graph, compiled by lookup.
+
+    Unlike database compilation this never interns: a target may be a
+    request payload, and the process-global interner never shrinks.  A
+    label the interner does not know gets :data:`UNKNOWN_LABEL`, which no
+    plan edge or vertex can match.  The entry is recompiled when the
+    graph's ``version`` changes, and — if it had unknown labels — when
+    the interner has grown since (one of them may now have an id).
+    """
+    entry = _FLAT_GRAPHS.get(graph)
+    if entry is not None:
+        version, stamp, fg = entry
+        if version == graph.version and (stamp < 0 or stamp == len(INTERNER)):
+            return fg
+    ids = INTERNER.ids
+    unknown = False
+
+    def lookup(label: Label) -> int:
+        nonlocal unknown
+        lid = ids.get(label)
+        if lid is None:
+            unknown = True
+            return UNKNOWN_LABEL
+        return lid
+
+    fg = FlatGraph.from_labeled(graph, lookup)
+    stamp = len(INTERNER) if unknown else -1
+    _FLAT_GRAPHS[graph] = (graph.version, stamp, fg)
+    return fg
 
 
 # ----------------------------------------------------------------------

@@ -16,8 +16,9 @@ Both monomorphism (mining) and induced (AGM) semantics are supported.
 
 :func:`match_patterns` and :func:`coverage` consult the acceleration
 layer (:mod:`repro.perf`) before entering any embedding search: an
-edge-triple index over the database plus per-graph invariant
-fingerprints reject most non-supporting graphs outright.  The filters
+edge-triple index over the database plus the flat admit prefilter
+(:func:`repro.perf.flat_admits`: counts, label histograms, per-label
+degree sequences) reject most non-supporting graphs outright.  The filters
 are sound for both semantics (an induced embedding is in particular a
 monomorphism), so results are identical either way; ``use_accel=False``
 — or the global ``REPRO_NO_ACCEL`` switch — forces the original full
@@ -94,9 +95,8 @@ def _candidate_gids(
 ) -> set[int]:
     """Gids that pass every cheap containment filter for ``pattern``.
 
-    Intersects the edge-triple posting lists, then drops candidates whose
-    invariant fingerprint (:mod:`repro.perf.fingerprint`) rules the
-    pattern out.  Both filters are necessary conditions for containment
+    Intersects the edge-triple posting lists, then drops candidates the
+    flat admit prefilter (:func:`repro.perf.flat_admits`) rules out.  Both filters are necessary conditions for containment
     under either semantics, so the survivors are a sound candidate set.
     An edge-free pattern cannot be filtered: every gid comes back.
     """
@@ -113,11 +113,12 @@ def _candidate_gids(
             return set()
     if candidates is None:
         return {gid for gid, _ in database}
-    profile = perf.get_match_plan(pattern).profile
+    flat = perf.get_flat_db(database)
+    plan = perf.get_flat_plan(pattern)
     return {
         gid
         for gid in candidates
-        if perf.get_fingerprint(database[gid]).admits(profile)
+        if perf.flat_admits(plan, flat.get(gid)) == perf.ADMIT
     }
 
 
@@ -161,8 +162,8 @@ def match_patterns(
     ``min_support`` (when given) are dropped.
 
     By default each pattern is searched only in the graphs surviving the
-    acceleration layer's candidate filters (edge-triple index +
-    fingerprints); ``use_accel=False`` — or disabling the layer globally
+    acceleration layer's candidate filters (edge-triple index + flat
+    admit prefilter); ``use_accel=False`` — or disabling the layer globally
     via ``REPRO_NO_ACCEL`` — scans every graph for every pattern, as the
     original implementation did.  Results are identical either way.
     """
@@ -205,15 +206,14 @@ def coverage(
     use_accel: bool = True,
 ) -> tuple[float, set[int]]:
     """Fraction (and set) of graphs containing at least one pattern."""
-    accel = use_accel and perf.enabled()
+    flat = perf.get_flat_db(database) if use_accel and perf.enabled() else None
     covered: set[int] = set()
     for gid, graph in database:
-        fingerprint = perf.get_fingerprint(graph) if accel else None
         for pattern in patterns:
             if gid in covered:
                 break
-            if fingerprint is not None and not fingerprint.admits(
-                perf.get_match_plan(pattern.graph).profile
+            if flat is not None and perf.flat_admits(
+                perf.get_flat_plan(pattern.graph), flat.get(gid)
             ):
                 continue
             for _ in find_embeddings(

@@ -45,7 +45,11 @@ from .. import perf
 from ..obs import metrics as obs_metrics
 from ..graph.canonical import canonical_code
 from ..graph.database import GraphDatabase
-from ..graph.isomorphism import subgraph_exists
+from ..graph.isomorphism import (
+    SupportTally,
+    count_support,
+    subgraph_exists,
+)
 from ..graph.labeled_graph import LabeledGraph
 from ..mining.base import Pattern, PatternSet
 from ..resilience.health import Deadline
@@ -274,45 +278,26 @@ class QueryEngine:
 
         supporting = set()
         order = sorted(candidates)
-        if accel and order and deadline is None and perf.batch_enabled():
-            # Batched kernel: one fused admit+search frame over the whole
-            # candidate list.  Cache probes stay out here (the kernel is
-            # probe-free by contract); deadline-bearing queries keep the
-            # per-graph loop so expiry is still checked between searches.
-            flat = perf.get_flat_db(self.database)
-            flat_plan = perf.get_flat_plan(pattern)
-            if key is not None:
-                unresolved = []
-                with self._lock:
-                    for gid in order:
-                        verdict = self.support_cache.get(
-                            key, self.database[gid], induced=induced
-                        )
-                        if verdict is None:
-                            unresolved.append(gid)
-                        else:
-                            stats.support_cache_hits += 1
-                            if verdict:
-                                supporting.add(gid)
-            else:
-                unresolved = order
-            scan = perf.flat_count_batch(
-                flat_plan,
-                flat,
-                unresolved,
+        if accel and order and deadline is None:
+            # The counting seam: one fused admit+search kernel frame over
+            # the whole candidate list, the shared support cache probed
+            # and written back under the engine lock.  Deadline-bearing
+            # queries keep the per-graph loop so expiry is still checked
+            # between searches.
+            tally = SupportTally()
+            _support, supporting = count_support(
+                pattern,
+                self.database,
+                candidate_gids=order,
                 induced=induced,
+                cache=self.support_cache if key is not None else None,
+                key=key,
                 arena=perf.local_arena(),
+                tally=tally,
+                cache_lock=self._lock,
             )
-            hits = set(scan.hits)
-            supporting |= hits
-            stats.searches += scan.searched
-            if key is not None and unresolved:
-                with self._lock:
-                    for gid in unresolved:
-                        self.support_cache.put(
-                            key, self.database[gid], gid in hits,
-                            induced=induced,
-                        )
+            stats.searches += tally.vf2_tests
+            stats.support_cache_hits += tally.cache_hits
         else:
             for gid in order:
                 if deadline is not None:

@@ -5,7 +5,7 @@ with the reference matcher and takes the minimum distinct-image count —
 the textbook MNI definition, with no decomposition involved.  The
 neighborhood-folded counter must agree exactly for patterns of radius
 ≤ r (the soundness guarantee) and never exceed it otherwise, under
-every cell of the acceleration matrix (off / plans / flat / flat+batch).
+every cell of the acceleration matrix (off / accel).
 """
 
 from __future__ import annotations
@@ -44,15 +44,10 @@ def oracle_mni(pattern: LabeledGraph, graph: LabeledGraph) -> int:
 
 
 def accel_matrix():
-    """The four acceleration states as (name, contextmanager factory)."""
+    """The two acceleration states as (name, contextmanager factory)."""
     from contextlib import nullcontext
 
-    return [
-        ("off", perf.disabled),
-        ("plans", perf.flat_disabled),
-        ("flat", perf.batch_disabled),
-        ("flat+batch", nullcontext),
-    ]
+    return [("off", perf.disabled), ("accel", nullcontext)]
 
 
 def candidate_patterns(graph: LabeledGraph, max_size: int = 3):

@@ -1,12 +1,12 @@
 """Differential harness for the flat-array existence matcher.
 
-:func:`repro.perf.fastmatch.flat_exists` must agree with the recursive
-reference matcher (:func:`repro.graph.isomorphism.subgraph_exists_reference`)
-and with the dict-based plan matcher
-(:func:`repro.perf.matchplan.plan_exists`) on *every* pattern/target pair,
-under both monomorphic and induced semantics.  The randomized sweep here
-covers several hundred pairs across regimes the flat kernels treat
-specially:
+:func:`repro.perf.fastmatch.flat_exists` — and the single-pair
+:func:`repro.graph.isomorphism.subgraph_exists` built on it — must agree
+with the recursive reference matcher
+(:func:`repro.graph.isomorphism.subgraph_exists_reference`) on *every*
+pattern/target pair, under both monomorphic and induced semantics.  The
+randomized sweep here covers several hundred pairs across regimes the
+flat kernels treat specially:
 
 * **label-heavy** graphs (many distinct vertex/edge labels — small
   bisect sub-runs, unanchored ``by_label`` seeds are selective);
@@ -28,13 +28,16 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from repro.graph.isomorphism import subgraph_exists_reference
+from repro.graph.isomorphism import subgraph_exists, subgraph_exists_reference
 from repro.graph.labeled_graph import LabeledGraph
 from repro.perf.counters import COUNTERS
-from repro.perf.fastmatch import FlatPlan, flat_exists, get_flat_plan
-from repro.perf.fingerprint import GraphFingerprint
+from repro.perf.fastmatch import (
+    FlatPlan,
+    flat_exists,
+    get_flat_plan,
+    match_order,
+)
 from repro.perf.flatgraph import INTERNER, FlatGraph
-from repro.perf.matchplan import get_match_plan, plan_exists
 
 from .conftest import make_graph, path_graph, random_graph, star_graph
 from .test_properties import connected_graphs
@@ -54,19 +57,20 @@ def random_pattern(rng, max_n, vlabels, elabels, p_extra=0.3):
 
 
 def all_matchers_agree(pattern, target, context=""):
-    """The assertion at the heart of the suite: three matchers, both
-    semantics, one verdict."""
-    flat_target = FlatGraph.from_labeled(target)
-    fingerprint = GraphFingerprint(target)
+    """The assertion at the heart of the suite: the flat kernel, the
+    single-pair path and the reference matcher, both semantics, one
+    verdict.  The single-pair path runs first, while some target labels
+    may still be unknown to the interner (it compiles by lookup)."""
     for induced in (False, True):
         want = subgraph_exists_reference(pattern, target, induced=induced)
-        got_plan = plan_exists(
-            get_match_plan(pattern), target, fingerprint, induced=induced
-        )
+        got_pair = subgraph_exists(pattern, target, induced=induced)
+        assert got_pair == want, f"subgraph_exists {context} induced={induced}"
+    flat_target = FlatGraph.from_labeled(target)
+    for induced in (False, True):
+        want = subgraph_exists_reference(pattern, target, induced=induced)
         got_flat = flat_exists(
             get_flat_plan(pattern), flat_target, induced=induced
         )
-        assert got_plan == want, f"plan_exists {context} induced={induced}"
         assert got_flat == want, f"flat_exists {context} induced={induced}"
 
 
@@ -239,16 +243,26 @@ class TestFlatPlanLifecycle:
         assert get_flat_plan(pattern) is plan  # no growth -> same object
 
     def test_flat_plan_mirrors_match_plan_shape(self):
+        """The plan follows the shared match order: positions are order
+        slots, and each position's anchors are exactly its pattern
+        neighbours placed earlier."""
         pattern = random_graph(random.Random(5), 5, extra_edges=2)
-        match_plan = get_match_plan(pattern)
+        order = match_order(pattern)
         plan = FlatPlan(pattern)
-        assert plan.n == match_plan.n
-        assert plan.num_vertices == pattern.num_vertices
+        assert plan.n == len(order) == pattern.num_vertices
         assert plan.num_edges == pattern.num_edges
         assert len(plan.vlabs) == plan.n
         assert len(plan.aptr) == plan.n + 1
         assert len(plan.apos) == len(plan.aelab) == plan.aptr[-1]
         assert len(plan.nptr) == plan.n + 1
-        # Anchor counts per position agree with the dict-based plan.
-        for depth, prior in enumerate(match_plan.anchors):
-            assert plan.aptr[depth + 1] - plan.aptr[depth] == len(prior)
+        assert plan.mindeg == [pattern.degree(v) for v in order]
+        for depth, v in enumerate(order):
+            prior = {
+                order.index(w)
+                for w in pattern.neighbor_ids(v)
+                if order.index(w) < depth
+            }
+            anchors = plan.apos[plan.aptr[depth] : plan.aptr[depth + 1]]
+            assert set(anchors) == prior
+            nonadjacent = plan.npos[plan.nptr[depth] : plan.nptr[depth + 1]]
+            assert set(nonadjacent) == set(range(depth)) - prior

@@ -301,7 +301,7 @@ class TestPerfBridge:
     def test_perf_increments_ignore_obs_switch(self):
         from repro.perf.counters import COUNTERS
 
-        before = COUNTERS.plan_hits
+        before = COUNTERS.flat_plan_compiles
         with obs.disabled():
-            COUNTERS.inc("plan_hits")
-        assert COUNTERS.plan_hits == before + 1
+            COUNTERS.inc("flat_plan_compiles")
+        assert COUNTERS.flat_plan_compiles == before + 1

@@ -1,10 +1,12 @@
 """Differential tests: the acceleration layer is behaviour-preserving.
 
-Every fast path in :mod:`repro.perf` — the compiled-plan matcher, the
-fingerprint prefilters, and the shared support cache — must return exactly
-what the unaccelerated reference path returns: same verdicts, same
-supports, same TID lists, same canonical keys.  These tests drive both
-paths over hypothesis-generated inputs and compare them bit-for-bit.
+Every fast path in :mod:`repro.perf` — the single-pair flat matcher
+behind :func:`subgraph_exists`, the flat admit prefilter, the batch
+kernel behind :func:`count_support`, and the shared support cache — must
+return exactly what the unaccelerated reference path returns: same
+verdicts, same supports, same TID lists, same canonical keys.  These
+tests drive both paths over hypothesis-generated inputs and compare them
+bit-for-bit.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -14,11 +16,13 @@ from repro.core.join import SupportCounter
 from repro.core.mergejoin import MergeJoinStats, merge_join
 from repro.core.partminer import PartMiner
 from repro.graph.isomorphism import (
+    are_isomorphic,
     count_support,
     find_embeddings,
     subgraph_exists,
     subgraph_exists_reference,
 )
+from repro.graph.labeled_graph import LabeledGraph
 from repro.mining.gspan import GSpanMiner
 
 from .test_properties import connected_graphs, databases
@@ -43,7 +47,7 @@ class TestMatcherAgreement:
         st.booleans(),
     )
     def test_accel_equals_reference(self, target, pattern, induced):
-        accel = perf.accel_subgraph_exists(pattern, target, induced=induced)
+        accel = subgraph_exists(pattern, target, induced=induced)
         reference = subgraph_exists_reference(
             pattern, target, induced=induced
         )
@@ -52,7 +56,7 @@ class TestMatcherAgreement:
     @settings(max_examples=60, deadline=None)
     @given(connected_graphs(max_vertices=6), st.booleans())
     def test_accel_reflexive(self, graph, induced):
-        assert perf.accel_subgraph_exists(graph, graph, induced=induced)
+        assert subgraph_exists(graph, graph, induced=induced)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -68,30 +72,58 @@ class TestMatcherAgreement:
             for _ in find_embeddings(pattern, target, limit=1, induced=induced)
         )
         assert (
-            perf.accel_subgraph_exists(pattern, target, induced=induced)
+            subgraph_exists(pattern, target, induced=induced)
             == any_embedding
         )
 
     @settings(max_examples=60, deadline=None)
     @given(connected_graphs(max_vertices=7), connected_graphs(max_vertices=5))
-    def test_fingerprint_prefilter_sound(self, target, pattern):
-        """A fingerprint rejection never kills a real containment."""
-        fingerprint = perf.get_fingerprint(target)
-        profile = perf.get_match_plan(pattern).profile
-        if not fingerprint.admits(profile):
+    def test_flat_admits_sound(self, target, pattern):
+        """An admit rejection never kills a real containment."""
+        fg = perf.FlatGraph.from_labeled(target)  # interns target labels
+        reason = perf.flat_admits(perf.get_flat_plan(pattern), fg)
+        if reason != perf.ADMIT:
             assert not subgraph_exists_reference(pattern, target)
+            assert not subgraph_exists_reference(
+                pattern, target, induced=True
+            )
 
     @settings(max_examples=40, deadline=None)
     @given(connected_graphs(max_vertices=6))
-    def test_plan_and_fingerprint_invalidate_on_mutation(self, graph):
-        plan = perf.get_match_plan(graph)
-        fingerprint = perf.get_fingerprint(graph)
-        assert perf.get_match_plan(graph) is plan
-        assert perf.get_fingerprint(graph) is fingerprint
+    def test_flat_target_invalidates_on_mutation(self, graph):
+        """An in-place edit bumps ``version``: the cached flat target and
+        plan are recompiled and the next verdict is recomputed."""
+        pattern = graph.copy()
+        fg = perf.get_flat_graph(graph)
+        plan = perf.get_flat_plan(graph)
+        assert perf.get_flat_graph(graph) is fg
+        assert perf.get_flat_plan(graph) is plan
+        assert subgraph_exists(pattern, graph)
         graph.set_vertex_label(0, 99)
-        assert perf.get_match_plan(graph) is not plan
-        assert perf.get_fingerprint(graph) is not fingerprint
-        assert perf.accel_subgraph_exists(graph, graph)
+        assert perf.get_flat_graph(graph) is not fg
+        assert perf.get_flat_plan(graph) is not plan
+        assert subgraph_exists(pattern, graph) == subgraph_exists_reference(
+            pattern, graph
+        )
+        assert subgraph_exists(graph, graph)
+
+    def test_never_interned_labels_fall_back_to_the_reference(self):
+        """Labels no flat graph has carried make the pattern's plan
+        unmatchable; the single-pair path must not trust that mark."""
+
+        def build():
+            graph = LabeledGraph()
+            a = graph.add_vertex(("never-interned", "a"))
+            b = graph.add_vertex(("never-interned", "b"))
+            c = graph.add_vertex(("never-interned", "a"))
+            graph.add_edge(a, b, ("never-interned", "e"))
+            graph.add_edge(b, c, ("never-interned", "e"))
+            return graph
+
+        before = len(perf.INTERNER)
+        assert are_isomorphic(build(), build())
+        assert subgraph_exists(build(), build(), induced=True)
+        assert len(perf.INTERNER) == before
 
 
 # ----------------------------------------------------------------------
@@ -142,7 +174,7 @@ class TestSupportAgreement:
         connected_graphs(max_vertices=4),
     )
     def test_candidate_gids_superset_of_support(self, db, pattern):
-        """Fingerprint filtering never drops a supporting graph."""
+        """Candidate filtering never drops a supporting graph."""
         counter = SupportCounter(db)
         candidates = counter.candidate_gids(pattern)
         with perf.disabled():
@@ -205,7 +237,6 @@ class TestEnableSwitch:
         assert perf.enabled()
 
     def test_disabled_subgraph_exists_uses_reference(self):
-        from repro.graph.labeled_graph import LabeledGraph
         from repro.perf.counters import COUNTERS
 
         g = LabeledGraph()
@@ -213,6 +244,8 @@ class TestEnableSwitch:
         g.add_vertex(1)
         g.add_edge(0, 1, 0)
         with perf.disabled():
-            before = COUNTERS.plan_compiles + COUNTERS.plan_hits
+            before = COUNTERS.flat_plan_compiles + COUNTERS.flat_searches
             assert subgraph_exists(g, g)
-            assert COUNTERS.plan_compiles + COUNTERS.plan_hits == before
+            assert (
+                COUNTERS.flat_plan_compiles + COUNTERS.flat_searches == before
+            )

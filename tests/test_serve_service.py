@@ -287,6 +287,47 @@ class TestEndpoints:
         assert back.serving == telemetry.serving
 
 
+class TestInternerIsolation:
+    """Request payloads must not grow the process-global label interner
+    (it never shrinks: a long-running service would leak memory on
+    hostile labels), and labels no database holds must not change an
+    answer."""
+
+    def test_contains_with_unseen_labels_leaves_interner_alone(
+        self, tmp_path
+    ):
+        from repro import perf
+        from repro.graph.database import GraphDatabase
+
+        catalog, db, patterns = published_catalog(tmp_path)
+        service = PatternService(catalog, db)
+        # A database graph (labels the process knows) with a tail of
+        # vertices and edges whose labels no database has ever held
+        # (ints, so canonical codes can order them with the rest).
+        graph = db[0].copy()
+        tail = graph.add_vertex(9_000_001)
+        graph.add_edge(0, tail, 9_000_002)
+        other = graph.add_vertex(9_000_003)
+        graph.add_edge(tail, other, 9_000_002)
+        before = len(perf.INTERNER)
+        body = service.execute("contains", {"graph": encode_graph(graph)})
+        assert len(perf.INTERNER) == before
+
+        relocated = query.match_patterns(
+            patterns,
+            GraphDatabase.from_graphs([decode_graph(encode_graph(graph))]),
+            use_accel=False,
+        )
+        entries = service._engine.snapshot.entries
+        want = sorted(
+            entry.pid
+            for entry in entries
+            if relocated.get(entry.key).support > 0
+        )
+        assert body["pids"] == want
+        assert want  # the known-label core still contains patterns
+
+
 class TestHotReload:
     def test_reload_noop_without_new_snapshot(self, tmp_path):
         catalog, db, _ = published_catalog(tmp_path)

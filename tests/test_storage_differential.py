@@ -10,11 +10,10 @@ Three layers of "observationally identical", strongest last:
    produces byte-identical pattern dumps to the same run over the
    in-memory database;
 3. **The accel matrix, end to end**: the CLI mines the same dataset with
-   the database on disk under every acceleration mode (off / plans /
-   flat / flat+batch / flat+shm-parallel) and all pattern records are
-   byte-identical to the in-memory baseline's.  Only the header's
-   ``backend`` tag and the integrity footer (which hashes the header)
-   may differ.
+   the database on disk under every acceleration mode (off / accel /
+   accel+shm-parallel) and all pattern records are byte-identical to
+   the in-memory baseline's.  Only the header's ``backend`` tag and the
+   integrity footer (which hashes the header) may differ.
 """
 
 import io
@@ -155,10 +154,8 @@ class TestMiningDifferential:
 #: (id, global flags, mine flags) — one per acceleration mode.
 ACCEL_MATRIX = [
     ("off", ["--no-accel"], []),
-    ("plans", ["--no-flat"], []),
-    ("flat", ["--no-batch"], []),
-    ("flat+batch", [], []),
-    ("flat+shm", [], ["--parallel", "--workers", "1"]),
+    ("accel", [], []),
+    ("accel+shm", [], ["--parallel", "--workers", "1"]),
 ]
 
 
